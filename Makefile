@@ -6,7 +6,7 @@ GO ?= go
 # points this at a workspace directory and uploads it as an artifact.
 SMOKE_OUT ?= /tmp
 
-.PHONY: all build test vet fmt-check lint check sweep-smoke sweepd-smoke scenario-smoke claims-smoke bench-queue bench bench-check
+.PHONY: all build test vet fmt-check lint check sweep-smoke sweepd-smoke scenario-smoke claims-smoke bench-queue bench bench-check bench-e2e
 
 all: check
 
@@ -169,6 +169,29 @@ bench-check:
 	$(GO) test -run xxx -bench 'BenchmarkJacobiStep$$|BenchmarkJacobiStepSharded$$|BenchmarkZeroDelayLane$$|BenchmarkEventQueue/depth16k$$|BenchmarkEventQueueHeap4/depth16k$$|BenchmarkPDESWindowMerge$$' -benchmem -count=3 -timeout=0 . > /tmp/gat-bench-check.txt
 	/tmp/gat-benchjson -in /tmp/gat-bench-check.txt -check BENCH_PR8.json -against after \
 		-require BenchmarkJacobiStep,BenchmarkJacobiStepSharded,BenchmarkZeroDelayLane,BenchmarkEventQueue/depth16k,BenchmarkEventQueueHeap4/depth16k,BenchmarkPDESWindowMerge -max-regress 25
+
+# End-to-end benchmark table: each BENCHMARK.json workload runs once at
+# --trace 0 (end-to-end metrics) and once at --trace 1 (per-layer CPU
+# attribution) through perfbench/run.sh, and prints one row per
+# workload. Six runs of about 35 s each; needs jq. Fails if any
+# simulated output differs from perfbench/expected.json.
+bench-e2e:
+	@command -v jq > /dev/null || { echo "bench-e2e: needs jq"; exit 1; }
+	@mkdir -p .bench_build
+	@printf '%-14s %8s %9s %13s %17s %15s %11s\n' \
+		workload wall_s setup_s peak_heap_mb runtime.alloc_mb cpu.runtime.gc cpu.malloc
+	@for w in charm-strong exa-sharded paper-small; do \
+		for t in 0 1; do \
+			bash perfbench/run.sh --workload $$w --trace $$t > .bench_build/e2e-$$t.out 2> .bench_build/e2e-$$t.err || \
+				{ echo "bench-e2e: $$w --trace $$t failed:"; tail -5 .bench_build/e2e-$$t.err; exit 1; }; \
+			tail -1 .bench_build/e2e-$$t.out > .bench_build/e2e-$$t.json; \
+		done; \
+		jq -se 'all(.[]; .correct)' .bench_build/e2e-0.json .bench_build/e2e-1.json > /dev/null || \
+			{ echo "bench-e2e: $$w produced wrong simulated outputs"; exit 1; }; \
+		row=$$(jq -rs --arg w $$w '(.[0].metrics + .[1].metrics) as $$m | [$$w] + (["wall_s", "setup_s", "peak_heap_mb", "runtime.alloc_mb", "cpu.runtime.gc", "cpu.malloc"] | map($$m[.].value)) | @tsv' \
+			.bench_build/e2e-0.json .bench_build/e2e-1.json) || exit 1; \
+		echo "$$row" | awk -F '\t' '{ printf "%-14s %8.2f %9.5f %13.1f %17.1f %15.3f %11.3f\n", $$1, $$2, $$3, $$4, $$5, $$6, $$7 }'; \
+	done
 
 # claims-smoke is not part of check: CI runs it as its own job, and
 # doubling it into the matrix legs would just re-run identical work.

@@ -81,37 +81,36 @@ func unannotated(m map[int]int, v impl) {
 	sink(v)
 }
 
-// miniArena mirrors the engine's arena allocators: a hot bump-pointer
-// alloc with a cold inline grow branch. make itself is not a banned
-// construct (amortized chunk growth is the arena design), but
-// bookkeeping on the grow branch still needs a line-scoped exemption,
-// and the reset path gets no blanket pass just because it runs at a
-// run boundary.
-type miniArena struct {
-	cur     []int
-	idx     int
-	chunks  map[int]int
-	onReset func()
+// miniFreeList mirrors the simulator's record free lists: a hot get
+// whose empty branch allocates a fresh record — new itself is not a
+// banned construct — and a hot put that recycles. Bookkeeping on the
+// fresh-record branch still needs a line-scoped exemption, and put gets
+// no blanket pass just because it runs when a record retires.
+type miniFreeList struct {
+	free  []*int
+	fresh map[int]int
+	onPut func()
 }
 
 //gat:hotpath
-func (a *miniArena) alloc() *int {
-	if a.idx == len(a.cur) {
-		a.cur = make([]int, 256) // chunk grow: amortized, not a banned construct
-		a.idx = 0
-		//gat:alloc-ok testdata: one registry write per chunk, amortized over its records
-		a.chunks[len(a.chunks)] = len(a.cur)
+func (f *miniFreeList) get() *int {
+	n := len(f.free)
+	if n == 0 {
+		//gat:alloc-ok testdata: one registry write per fresh record, none in steady state
+		f.fresh[len(f.fresh)] = 1
+		return new(int) // fresh record: not a banned construct
 	}
-	p := &a.cur[a.idx]
-	a.idx++
+	p := f.free[n-1]
+	f.free = f.free[:n-1]
 	return p
 }
 
 //gat:hotpath
-func (a *miniArena) reset() {
-	a.idx = 0
-	a.onReset = func() { a.idx = 0 } // want `function literal`
-	for k := range a.chunks {
-		delete(a.chunks, k) // want `write to map`
+func (f *miniFreeList) put(p *int) {
+	*p = 0
+	f.free = append(f.free, p)
+	f.onPut = func() {} // want `function literal`
+	for k := range f.fresh {
+		delete(f.fresh, k) // want `write to map`
 	}
 }

@@ -57,6 +57,7 @@ type Array struct {
 	elems   []*Elem // ordered by flat index, for deterministic iteration
 	peOf    []int
 	entries []EntryFn
+	labels  []string // per-entry task labels, for tracing
 
 	msgsSent uint64
 }
@@ -71,6 +72,9 @@ func NewArray(rt *Runtime, name string, dims [3]int, entries []EntryFn, factory 
 		panic("charm: array needs positive dimensions")
 	}
 	a := &Array{rt: rt, name: name, dims: dims, entries: entries}
+	for i := range entries {
+		a.labels = append(a.labels, fmt.Sprintf("%s.e%d", name, i))
+	}
 	numPE := rt.NumPEs()
 	for flat := 0; flat < n; flat++ {
 		ix := a.Unflatten(flat)
@@ -127,14 +131,22 @@ func (a *Array) ElemsOnPE(pe int) []*Elem {
 	return out
 }
 
+// entryLabel returns the task label of entry method i, as timelines
+// show it.
+func (a *Array) entryLabel(i int) string {
+	if i >= 0 && i < len(a.labels) {
+		return a.labels[i]
+	}
+	return fmt.Sprintf("%s.e%d", a.name, i)
+}
+
 // deliver enqueues the entry invocation at the element's PE. recvCost
 // covers scheduling, dispatch, and payload unpacking.
 func (a *Array) deliver(el *Elem, m Msg) {
 	rt := a.rt
 	pe := rt.PE(a.peOf[el.Flat])
 	cost := rt.Opt.SchedOverhead + rt.Opt.EntryOverhead + rt.payloadCost(m.Bytes)
-	label := fmt.Sprintf("%s.e%d", a.name, m.Entry)
-	pe.Enqueue(PrioNormal, cost, label, el, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, cost, a.entryLabel(m.Entry), el, func(ctx *Ctx) {
 		a.entries[m.Entry](el, ctx, m)
 	})
 }

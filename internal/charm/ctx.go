@@ -1,6 +1,8 @@
 package charm
 
 import (
+	"unsafe"
+
 	"gat/internal/gpu"
 	"gat/internal/sim"
 )
@@ -62,12 +64,9 @@ func (ctx *Ctx) LaunchKernel(s *gpu.Stream, label string, dur sim.Time) *sim.Sig
 	if ctx.elem != nil {
 		ctx.elem.GPULoad += dur
 	}
-	out := sim.NewSignal()
-	eng := ctx.Engine()
-	eng.At(ctx.clock, func() {
-		s.Kernel(label, dur).Chain(eng, out)
-	})
-	return out
+	l := ctx.launch(s, launchKernel)
+	l.label, l.dur = label, dur
+	return l.out
 }
 
 // LaunchKernelBytes is LaunchKernel with a roofline-derived duration.
@@ -80,15 +79,9 @@ func (ctx *Ctx) LaunchKernelBytes(s *gpu.Stream, label string, bytes int64) *sim
 func (ctx *Ctx) EnqueueCopy(s *gpu.Stream, dir gpu.CopyDir, bytes int64, after *sim.Signal) *sim.Signal {
 	cfg := s.Device().Config()
 	ctx.clock += cfg.CopyLaunchHost
-	out := sim.NewSignal()
-	eng := ctx.Engine()
-	eng.At(ctx.clock, func() {
-		if after != nil {
-			s.WaitSignal(after)
-		}
-		s.Copy(dir, bytes).Chain(eng, out)
-	})
-	return out
+	l := ctx.launch(s, launchCopy)
+	l.dir, l.bytes, l.after = dir, bytes, after
+	return l.out
 }
 
 // LaunchGraph charges the graph launch host overhead and enqueues one
@@ -99,19 +92,74 @@ func (ctx *Ctx) LaunchGraph(s *gpu.Stream, g *gpu.Graph) *sim.Signal {
 	if ctx.elem != nil {
 		ctx.elem.GPULoad += g.TotalKernelTime()
 	}
-	out := sim.NewSignal()
-	eng := ctx.Engine()
-	eng.At(ctx.clock, func() {
-		s.Launch(g).Chain(eng, out)
-	})
-	return out
+	l := ctx.launch(s, launchGraph)
+	l.graph = g
+	return l.out
 }
 
 // GateStream makes subsequent work on s wait for sig, charging no host
 // time (the dependency is enforced on the device).
 func (ctx *Ctx) GateStream(s *gpu.Stream, sig *sim.Signal) {
-	eng := ctx.Engine()
-	eng.At(ctx.clock, func() { s.WaitSignal(sig) })
+	ctx.launch(s, launchGate).after = sig
+}
+
+type launchKind int
+
+const (
+	launchKernel launchKind = iota
+	launchCopy
+	launchGraph
+	launchGate
+)
+
+// launch is one stream operation a handler issues at its staggered
+// clock. The stream op completes straight into out — the signal the
+// handler got back — so no intermediate signal is made, and the record
+// is recycled once the op is enqueued.
+type launch struct {
+	rt    *Runtime
+	s     *gpu.Stream
+	kind  launchKind
+	label string
+	dur   sim.Time
+	dir   gpu.CopyDir
+	bytes int64
+	graph *gpu.Graph
+	after *sim.Signal // copy gate (optional) or stream gate
+	out   *sim.Signal // nil for a gate
+}
+
+// launch schedules a recycled launch record at the handler's clock. The
+// caller fills in the operation's parameters before the event runs.
+func (ctx *Ctx) launch(s *gpu.Stream, kind launchKind) *launch {
+	rt := ctx.pe.rt
+	l := rt.launches.Get()
+	l.rt, l.s, l.kind = rt, s, kind
+	if kind != launchGate {
+		l.out = sim.NewSignal()
+	}
+	rt.Engine().InjectAt(ctx.clock, launchFire, unsafe.Pointer(l))
+	return l
+}
+
+// launchFire enqueues a launch record's stream operation.
+func launchFire(_ *sim.Engine, arg unsafe.Pointer) {
+	l := (*launch)(arg)
+	s, then := l.s, sim.ThenFire(l.out)
+	switch l.kind {
+	case launchKernel:
+		s.KernelThen(l.label, l.dur, then)
+	case launchCopy:
+		if l.after != nil {
+			s.WaitSignal(l.after)
+		}
+		s.CopyThen(l.dir, l.bytes, then)
+	case launchGraph:
+		s.LaunchThen(l.graph, then)
+	case launchGate:
+		s.WaitSignal(l.after)
+	}
+	l.rt.launches.Put(l)
 }
 
 // HAPICallback registers fn to run as a high-priority PE task when all

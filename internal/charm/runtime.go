@@ -17,6 +17,7 @@ package charm
 import (
 	"container/heap"
 	"fmt"
+	"unsafe"
 
 	"gat/internal/machine"
 	"gat/internal/sim"
@@ -75,6 +76,11 @@ type Runtime struct {
 	Opt    Options
 	PEs    []*PE
 	arrays []*Array
+
+	// Free lists for the runtime's per-task and per-launch records,
+	// each recycled when its end event has run.
+	tasks    sim.FreeList[task]
+	launches sim.FreeList[launch]
 }
 
 // NewRuntime creates a runtime with one PE per GPU (the paper's non-SMP
@@ -157,7 +163,8 @@ func (rt *Runtime) payloadCost(bytes int64) sim.Time {
 }
 
 // task is one unit of PE work: an entry-method invocation or a runtime
-// callback.
+// callback. The record is recycled by taskEnd once the handler's host
+// time has elapsed.
 type task struct {
 	prio  int
 	seq   uint64
@@ -165,6 +172,11 @@ type task struct {
 	label string
 	elem  *Elem // owning chare element, if any (for load accounting)
 	run   func(*Ctx)
+
+	// Set when the task starts executing.
+	pe         *PE
+	ctx        *Ctx
+	start, end sim.Time
 }
 
 type taskHeap []*task
@@ -223,7 +235,9 @@ func (pe *PE) QueueLen() int { return len(pe.queue) }
 // handling); run executes with a Ctx whose clock starts after cost.
 func (pe *PE) Enqueue(prio int, cost sim.Time, label string, elem *Elem, run func(*Ctx)) {
 	pe.seq++
-	heap.Push(&pe.queue, &task{prio: prio, seq: pe.seq, cost: cost, label: label, elem: elem, run: run})
+	t := pe.rt.tasks.Get()
+	t.prio, t.seq, t.cost, t.label, t.elem, t.run = prio, pe.seq, cost, label, elem, run
+	heap.Push(&pe.queue, t)
 	pe.startNext()
 }
 
@@ -239,24 +253,32 @@ func (pe *PE) startNext() {
 	start := eng.Now()
 	ctx := &Ctx{pe: pe, elem: t.elem, clock: start + t.cost}
 	t.run(ctx)
-	end := ctx.clock
-	eng.At(end, func() {
-		pe.busyAccum += end - start
-		if t.elem != nil {
-			t.elem.Busy += end - start
-		}
-		if tr := eng.Tracer(); tr != nil {
-			tr.Add(sim.Span{Resource: fmt.Sprintf("pe%d", pe.id), Label: t.label, Start: start, End: end})
-		}
-		pe.busy = false
-		if ctx.blockOn != nil && !ctx.blockOn.Fired() {
-			pe.blocked = true
-			ctx.blockOn.OnFire(eng, func() {
-				pe.blocked = false
-				pe.startNext()
-			})
-			return
-		}
-		pe.startNext()
-	})
+	t.pe, t.ctx, t.start, t.end = pe, ctx, start, ctx.clock
+	eng.InjectAt(t.end, taskEnd, unsafe.Pointer(t))
+}
+
+// taskEnd runs when a task's host time has elapsed: it accounts the
+// busy time, recycles the task, and frees the PE — or blocks it until
+// the handler's Block signal fires.
+func taskEnd(eng *sim.Engine, arg unsafe.Pointer) {
+	t := (*task)(arg)
+	pe, ctx, elem, label, start, end := t.pe, t.ctx, t.elem, t.label, t.start, t.end
+	pe.rt.tasks.Put(t)
+	pe.busyAccum += end - start
+	if elem != nil {
+		elem.Busy += end - start
+	}
+	if tr := eng.Tracer(); tr != nil {
+		tr.Add(sim.Span{Resource: fmt.Sprintf("pe%d", pe.id), Label: label, Start: start, End: end})
+	}
+	pe.busy = false
+	if ctx.blockOn != nil && !ctx.blockOn.Fired() {
+		pe.blocked = true
+		ctx.blockOn.OnFire(eng, func() {
+			pe.blocked = false
+			pe.startNext()
+		})
+		return
+	}
+	pe.startNext()
 }

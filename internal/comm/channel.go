@@ -92,9 +92,7 @@ func (c *Channel) endpoint(proc int) Endpoint {
 func (c *Channel) Send(proc, tag int, bytes int64, ready *sim.Signal, done func()) {
 	dst := c.peer(proc)
 	key := matchKey{dstProc: dst.Proc, tag: tag}
-	if rs := c.recvs[key]; len(rs) > 0 {
-		r := rs[0]
-		c.recvs[key] = rs[1:]
+	if r := take(c.recvs, key); r != nil {
 		c.start(proc, dst.Proc, bytes, ready, done, r.done)
 		return
 	}
@@ -105,13 +103,30 @@ func (c *Channel) Send(proc, tag int, bytes int64, ready *sim.Signal, done func(
 // send's data has fully arrived in the destination device buffer.
 func (c *Channel) Recv(proc, tag int, done func()) {
 	key := matchKey{dstProc: c.endpoint(proc).Proc, tag: tag}
-	if ss := c.sends[key]; len(ss) > 0 {
-		s := ss[0]
-		c.sends[key] = ss[1:]
+	if s := take(c.sends, key); s != nil {
 		c.start(c.peer(proc).Proc, proc, s.bytes, s.ready, s.done, done)
 		return
 	}
 	c.recvs[key] = append(c.recvs[key], &pendingRecv{done: done})
+}
+
+// take removes and returns the oldest operation pending under key, or
+// nil. A key whose queue empties is deleted: tags carry the iteration
+// number, so keeping emptied keys would retain one entry per message
+// ever matched.
+func take[T any](pending map[matchKey][]*T, key matchKey) *T {
+	q := pending[key]
+	if len(q) == 0 {
+		return nil
+	}
+	head := q[0]
+	if len(q) == 1 {
+		delete(pending, key)
+	} else {
+		q[0] = nil
+		pending[key] = q[1:]
+	}
+	return head
 }
 
 // start moves the data once both sides have posted.

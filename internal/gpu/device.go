@@ -115,9 +115,13 @@ type Device struct {
 	// re-acquired.
 	streamPool []*Stream
 
-	// ops is the arena all stream operations are carved from; records
-	// live until the device (with its engine) is discarded.
-	ops sim.Arena[op]
+	// ops recycles stream operations: a stream returns each op here
+	// when it retires it. inFlight counts ops enqueued and not yet
+	// retired; peakInFlight is its high-water mark, which bounds the
+	// number of op records the device ever allocates.
+	ops          sim.FreeList[op]
+	inFlight     int
+	peakInFlight int
 
 	kernelCount uint64
 	copyCount   uint64
@@ -327,21 +331,12 @@ func (d *Device) copyPipe(dir CopyDir) *sim.Pipe {
 	return d.h2d
 }
 
-// ResetOps frees all stream-op records at once, keeping chunk capacity
-// warm for the next run. It may only be called at a run boundary: every
-// stream must be drained (no op in flight or queued) and the caller
-// must not use any previously returned op signal — stream completion
-// signals, recorded events — afterwards.
-func (d *Device) ResetOps() {
-	if d.busy || len(d.ready) > 0 {
-		panic("gpu: ResetOps with compute work pending")
-	}
-	for _, s := range d.streamPool {
-		if len(s.ops) > 0 {
-			panic("gpu: ResetOps with stream ops pending")
-		}
-	}
-	d.ops.Reset()
+// OpRecords returns the number of retired stream-op records waiting
+// for reuse and the peak number of ops in flight at once. The first
+// never exceeds the second: the device allocates an op record only
+// when every record it has is in flight.
+func (d *Device) OpRecords() (free, peakInFlight int) {
+	return d.ops.Len(), d.peakInFlight
 }
 
 // Utilization returns compute busy time over elapsed time.

@@ -260,3 +260,50 @@ func TestComputeWorkConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDirectFormsMatchChainedSignals runs one mixed stream twice:
+// once chaining each op's returned signal into an output signal, once
+// handing the output to the op directly. Completion times and the
+// event count must agree, and retired ops must be recycled.
+func TestDirectFormsMatchChainedSignals(t *testing.T) {
+	run := func(direct bool) ([]sim.Time, uint64, *Device) {
+		e, d := newTestDevice()
+		s := d.NewStream("s", PriorityNormal)
+		g := NewGraph()
+		g.AddCopy(H2D, 64, g.AddKernel("gk", 5))
+		outs := make([]*sim.Signal, 0, 30)
+		for i := 0; i < 10; i++ {
+			k, c, l := sim.NewSignal(), sim.NewSignal(), sim.NewSignal()
+			outs = append(outs, k, c, l)
+			if direct {
+				s.KernelThen("k", 20, sim.ThenFire(k))
+				s.CopyThen(D2H, 100, sim.ThenFire(c))
+				s.LaunchThen(g, sim.ThenFire(l))
+			} else {
+				s.Kernel("k", 20).Chain(e, k)
+				s.Copy(D2H, 100).Chain(e, c)
+				s.Launch(g).Chain(e, l)
+			}
+		}
+		at := make([]sim.Time, len(outs))
+		for i, o := range outs {
+			i := i
+			o.OnFire(e, func() { at[i] = e.Now() })
+		}
+		e.Run()
+		return at, e.EventsExecuted(), d
+	}
+	chained, nChained, _ := run(false)
+	direct, nDirect, d := run(true)
+	for i := range chained {
+		if chained[i] == 0 || chained[i] != direct[i] {
+			t.Fatalf("op %d completed at %v chained, %v direct", i, chained[i], direct[i])
+		}
+	}
+	if nChained != nDirect {
+		t.Fatalf("chained run executed %d events, direct run %d", nChained, nDirect)
+	}
+	if free, peak := d.OpRecords(); free != peak || peak == 0 {
+		t.Fatalf("after draining: %d free op records, peak %d in flight; want equal and non-zero", free, peak)
+	}
+}

@@ -65,9 +65,26 @@ func (s *Stream) Launch(g *Graph) *sim.Signal {
 	if g.Len() == 0 {
 		return sim.FiredSignal()
 	}
+	return s.enqueueSignal(s.graphOp(g))
+}
+
+// LaunchThen is Launch for a caller that only chains on completion:
+// then runs where Launch's signal would have fired (at once for an
+// empty graph), and no signal is made.
+func (s *Stream) LaunchThen(g *Graph, then sim.Then) {
+	if g.Len() == 0 {
+		then.Run(s.dev.eng)
+		return
+	}
+	o := s.graphOp(g)
+	o.then = then
+	s.enqueue(o)
+}
+
+func (s *Stream) graphOp(g *Graph) *op {
 	o := s.newOp()
 	o.kind, o.label, o.graph = opGraph, "graph", g
-	return s.enqueue(o)
+	return o
 }
 
 // launchGraphInstance executes one instance of o.graph, calling complete
@@ -106,7 +123,7 @@ func (s *Stream) launchGraphInstance(o *op, complete func()) {
 				func() { nodeDone(n) })
 		case opCopy:
 			d.copyCount++
-			d.copyPipe(n.dir).Transfer(n.bytes).OnFire(d.eng, func() { nodeDone(n) })
+			d.copyPipe(n.dir).TransferThen(n.bytes, sim.ThenCall(func() { nodeDone(n) }))
 		default:
 			panic("gpu: unsupported graph node kind")
 		}

@@ -1,6 +1,10 @@
 package gpu
 
-import "gat/internal/sim"
+import (
+	"unsafe"
+
+	"gat/internal/sim"
+)
 
 // Stream is an in-order queue of device operations, the CUDA stream
 // analogue. Operations on one stream execute in FIFO order; operations
@@ -16,13 +20,12 @@ type Stream struct {
 	completeFn func()
 }
 
-// newOp returns a zeroed op from the device's arena. Ops are never
-// recycled individually — their embedded done signals may outlive
-// completion in caller hands — so they live until the device's engine
-// (and with it the arena) is discarded.
+// newOp returns a zeroed op from the device's free list. The stream
+// recycles it when it retires the op (see complete); a caller holds
+// only the op's GC-owned done signal, never the op.
 //
 //gat:hotpath
-func (s *Stream) newOp() *op { return s.dev.ops.New() }
+func (s *Stream) newOp() *op { return s.dev.ops.Get() }
 
 // NewStream creates a stream with the given priority (PriorityHigh or
 // PriorityNormal).
@@ -81,6 +84,10 @@ const (
 	opGraph
 )
 
+// op is one stream operation. On completion the stream fires done
+// when a caller holds the op's signal, or runs then when the caller
+// gave its completion target directly; an op with neither completes
+// silently.
 type op struct {
 	kind  opKind
 	label string
@@ -90,15 +97,32 @@ type op struct {
 	cb    func()      // callback body
 	wait  *sim.Signal // gate for opWait
 	graph *Graph      // for opGraph
-	done  sim.Signal  // embedded: one allocation per op, not two
+	done  *sim.Signal // escaped completion signal, or nil
+	then  sim.Then    // direct completion target when done is nil
 }
 
-func (s *Stream) enqueue(o *op) *sim.Signal {
+// enqueue appends o to the stream, starting it if the stream was idle.
+// o may complete — and be recycled — before enqueue returns.
+//
+//gat:hotpath
+func (s *Stream) enqueue(o *op) {
+	d := s.dev
+	d.inFlight++
+	if d.inFlight > d.peakInFlight {
+		d.peakInFlight = d.inFlight
+	}
 	s.ops = append(s.ops, o)
 	if len(s.ops) == 1 {
 		s.startHead()
 	}
-	return &o.done
+}
+
+// enqueueSignal enqueues o with a fresh done signal and returns it.
+func (s *Stream) enqueueSignal(o *op) *sim.Signal {
+	done := sim.NewSignal()
+	o.done = done
+	s.enqueue(o)
+	return done
 }
 
 // startHead begins executing the op at the head of the stream.
@@ -110,14 +134,11 @@ func (s *Stream) startHead() {
 		d.submitCompute(s.prio, o.label, d.cfg.KernelDispatch+o.dur, s.completeFn)
 	case opCopy:
 		d.copyCount++
-		d.copyPipe(o.dir).Transfer(o.bytes).OnFire(d.eng, s.completeFn)
+		d.copyPipe(o.dir).TransferThen(o.bytes, sim.ThenCall(s.completeFn))
 	case opCallback:
 		// Host callback: runs as an event at the current time, then the
 		// stream advances.
-		d.eng.Schedule(0, func() {
-			o.cb()
-			s.complete()
-		})
+		sim.ThenArg(runCallback, unsafe.Pointer(s)).Run(d.eng)
 	case opEvent:
 		s.complete()
 	case opWait:
@@ -129,15 +150,32 @@ func (s *Stream) startHead() {
 	}
 }
 
-// complete finishes the head op: fire its signal, dequeue it
-// (capacity-preserving, so a steady enqueue/complete cycle never
-// reallocates), and start the next.
+// runCallback runs the host callback at the head of the stream in arg
+// and completes it.
+func runCallback(_ *sim.Engine, arg unsafe.Pointer) {
+	s := (*Stream)(arg)
+	s.ops[0].cb()
+	s.complete()
+}
+
+// complete finishes the head op: fire its signal or run its target,
+// dequeue it (capacity-preserving, so a steady enqueue/complete cycle
+// never reallocates), recycle it, and start the next.
+//
+//gat:hotpath
 func (s *Stream) complete() {
 	o := s.ops[0]
-	o.done.Fire(s.dev.eng)
+	d := s.dev
+	if o.done != nil {
+		o.done.Fire(d.eng)
+	} else {
+		o.then.Run(d.eng)
+	}
 	n := copy(s.ops, s.ops[1:])
 	s.ops[n] = nil
 	s.ops = s.ops[:n]
+	d.inFlight--
+	d.ops.Put(o)
 	if len(s.ops) > 0 {
 		s.startHead()
 	}
@@ -147,9 +185,22 @@ func (s *Stream) complete() {
 // its completion signal. The caller is responsible for charging
 // Config.KernelLaunchHost to the launching CPU.
 func (s *Stream) Kernel(label string, dur sim.Time) *sim.Signal {
+	return s.enqueueSignal(s.kernelOp(label, dur))
+}
+
+// KernelThen is Kernel for a caller that only chains on completion:
+// then runs where Kernel's signal would have fired, and no signal is
+// made.
+func (s *Stream) KernelThen(label string, dur sim.Time, then sim.Then) {
+	o := s.kernelOp(label, dur)
+	o.then = then
+	s.enqueue(o)
+}
+
+func (s *Stream) kernelOp(label string, dur sim.Time) *op {
 	o := s.newOp()
 	o.kind, o.label, o.dur = opKernel, label, dur
-	return s.enqueue(o)
+	return o
 }
 
 // KernelBytes enqueues a memory-bound kernel whose duration is derived
@@ -161,9 +212,21 @@ func (s *Stream) KernelBytes(label string, bytes int64) *sim.Signal {
 // Copy enqueues an async DMA transfer of the given size and direction.
 // The caller charges Config.CopyLaunchHost to the launching CPU.
 func (s *Stream) Copy(dir CopyDir, bytes int64) *sim.Signal {
+	return s.enqueueSignal(s.copyOp(dir, bytes))
+}
+
+// CopyThen is Copy for a caller that only chains on completion: then
+// runs where Copy's signal would have fired, and no signal is made.
+func (s *Stream) CopyThen(dir CopyDir, bytes int64, then sim.Then) {
+	o := s.copyOp(dir, bytes)
+	o.then = then
+	s.enqueue(o)
+}
+
+func (s *Stream) copyOp(dir CopyDir, bytes int64) *op {
 	o := s.newOp()
 	o.kind, o.label, o.bytes, o.dir = opCopy, dir.String(), bytes, dir
-	return s.enqueue(o)
+	return o
 }
 
 // OnComplete enqueues a host callback that runs when all previously
@@ -184,25 +247,32 @@ func (ev *Event) Done() *sim.Signal { return ev.sig }
 
 // RecordEvent records an event on the stream.
 func (s *Stream) RecordEvent() *Event {
+	return &Event{sig: s.recordSignal()}
+}
+
+// recordSignal enqueues an event marker and returns its signal.
+func (s *Stream) recordSignal() *sim.Signal {
 	o := s.newOp()
 	o.kind, o.label = opEvent, "event"
-	return &Event{sig: s.enqueue(o)}
+	return s.enqueueSignal(o)
 }
 
 // WaitEvent blocks subsequent work on s until ev (recorded on another
 // stream) completes — the cross-stream dependency primitive.
-func (s *Stream) WaitEvent(ev *Event) *sim.Signal {
-	o := s.newOp()
-	o.kind, o.label, o.wait = opWait, "waitEvent", ev.sig
-	return s.enqueue(o)
+func (s *Stream) WaitEvent(ev *Event) {
+	s.wait("waitEvent", ev.sig)
 }
 
 // WaitSignal blocks subsequent work on s until an arbitrary simulation
 // signal fires (e.g. network data arrival before an unpack kernel).
-func (s *Stream) WaitSignal(sig *sim.Signal) *sim.Signal {
+func (s *Stream) WaitSignal(sig *sim.Signal) {
+	s.wait("waitSignal", sig)
+}
+
+func (s *Stream) wait(label string, sig *sim.Signal) {
 	o := s.newOp()
-	o.kind, o.label, o.wait = opWait, "waitSignal", sig
-	return s.enqueue(o)
+	o.kind, o.label, o.wait = opWait, label, sig
+	s.enqueue(o)
 }
 
 // Sync blocks the calling proc until all currently enqueued work on the
@@ -214,8 +284,7 @@ func (s *Stream) Sync(p *sim.Proc) {
 	if len(s.ops) == 0 {
 		return
 	}
-	ev := s.RecordEvent()
-	p.Wait(ev.sig)
+	p.Wait(s.recordSignal())
 }
 
 // Drained returns a signal that fires when all currently enqueued work
@@ -224,5 +293,5 @@ func (s *Stream) Drained() *sim.Signal {
 	if len(s.ops) == 0 {
 		return sim.FiredSignal()
 	}
-	return s.RecordEvent().sig
+	return s.recordSignal()
 }

@@ -165,23 +165,6 @@ func MustNew(cfg Config) *Machine {
 	return m
 }
 
-// ResetTransients frees every arena-allocated transient record on the
-// machine — engine signals and pipe ops, GPU stream ops, network
-// protocol records — keeping the chunk memory warm for the next run.
-// Call it only at a run boundary: the engine idle, all streams drained,
-// and no signal or record handle from the finished run used afterwards.
-// Durable state (clock, traffic counters, pipe busy accounting, stream
-// pools) is preserved, so a machine can host a sequence of runs — a
-// benchmark batch, a parameter sweep reusing one cluster — with zero
-// steady-state record allocation.
-func (m *Machine) ResetTransients() {
-	m.Eng.ResetArenas()
-	for _, d := range m.GPUs {
-		d.ResetOps()
-	}
-	m.Net.ResetOps()
-}
-
 // Procs returns the total number of PEs/ranks (one per GPU, matching the
 // paper's one-process-one-GPU mapping).
 func (m *Machine) Procs() int { return m.Cfg.Nodes * m.Cfg.GPUsPerNode }

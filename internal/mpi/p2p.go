@@ -13,7 +13,7 @@ import (
 // sizes Jacobi3D exchanges).
 func (r *Rank) Isend(dst, tag int, bytes int64, kind BufKind) *Request {
 	r.proc.Sleep(r.w.Opt.CallOverhead)
-	req := r.w.reqs.New()
+	req := new(Request)
 	w := r.w
 	key := newMatchKey(r.id, dst, tag)
 	s := w.slot(key)
@@ -35,7 +35,7 @@ func (r *Rank) Isend(dst, tag int, bytes int64, kind BufKind) *Request {
 // Irecv posts a non-blocking receive from rank src with the given tag.
 func (r *Rank) Irecv(src, tag int, kind BufKind) *Request {
 	r.proc.Sleep(r.w.Opt.CallOverhead)
-	req := r.w.reqs.New()
+	req := new(Request)
 	w := r.w
 	key := newMatchKey(src, r.id, tag)
 	s := w.slot(key)
@@ -59,6 +59,7 @@ func (r *Rank) Irecv(src, tag int, kind BufKind) *Request {
 // send-then-receive order — two separate completion events would give
 // an interleaving point the real sequence does not have.
 type matchDone struct {
+	w          *World
 	sreq, rreq *Request
 }
 
@@ -67,6 +68,7 @@ func matchDoneFire(e *sim.Engine, arg unsafe.Pointer) {
 	md := (*matchDone)(arg)
 	md.sreq.done.Fire(e)
 	md.rreq.done.Fire(e)
+	md.w.matchDones.Put(md)
 }
 
 // start launches the matched transfer on the path implied by the buffer
@@ -92,8 +94,8 @@ func (w *World) start(key matchKey, bytes int64, sendKind, recvKind BufKind, sre
 	default:
 		arrived = w.M.Net.TransferGPUDirect(srcNode, dstNode, bytes, sim.FiredSignal())
 	}
-	md := w.matchDones.New()
-	md.sreq, md.rreq = sreq, rreq
+	md := w.matchDones.Get()
+	md.w, md.sreq, md.rreq = w, sreq, rreq
 	arrived.OnFireArg(w.M.Eng, matchDoneFire, unsafe.Pointer(md))
 }
 

@@ -65,10 +65,9 @@ type World struct {
 	// counter would be shared by concurrently sweeping runs.
 	collEpoch int
 
-	// reqs and matchDones are the per-message record arenas; records
-	// share the world's engine lifetime (see sim.Arena).
-	reqs       sim.Arena[Request]
-	matchDones sim.Arena[matchDone]
+	// matchDones recycles the per-message completion links; each is
+	// returned once it has fired both requests of its pair.
+	matchDones sim.FreeList[matchDone]
 }
 
 // matchKey packs (src, dst, tag) into one word: posting a message hashes
@@ -139,9 +138,10 @@ type pendingRecv struct {
 	req  *Request
 }
 
-// Request is a non-blocking operation handle. The completion signal is
-// embedded so posting an operation costs one allocation, not two —
-// requests are made per message on the simulation's hottest path.
+// Request is a non-blocking operation handle, owned by the garbage
+// collector: the caller may hold it for as long as it likes. The
+// completion signal is embedded so posting an operation costs one
+// allocation, not two.
 type Request struct {
 	done sim.Signal
 }
@@ -164,18 +164,6 @@ func NewWorld(m *machine.Machine, opt Options) *World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
-
-// Reset frees every per-message record (requests and match-completion
-// links) the world has allocated, keeping the chunk memory warm for the
-// next Run. Like sim.Engine.ResetArenas it must only be called at a run
-// boundary — every posted operation matched and completed, no Request
-// handle from the finished run used afterwards — which also means the
-// match map is empty again. A world reset this way can host a sequence
-// of runs on one machine with zero steady-state record allocation.
-func (w *World) Reset() {
-	w.reqs.Reset()
-	w.matchDones.Reset()
-}
 
 // Run spawns every rank executing body and runs the simulation to
 // completion, returning the final virtual time.

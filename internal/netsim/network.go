@@ -107,13 +107,12 @@ type Network struct {
 	messages uint64
 	bytes    int64
 
-	// Arenas for the per-message protocol records. They share the
-	// engine's lifetime: a record is pinned by pending events only until
-	// its message completes, and the whole set is dropped with the
-	// network (see sim.Arena).
-	xferOps  sim.Arena[xferOp]
-	countOps sim.Arena[countOp]
-	gdOps    sim.Arena[gdOp]
+	// Free lists for the per-message protocol records: each record is
+	// recycled once the transfer it gates has started (see
+	// sim.FreeList).
+	xferOps  sim.FreeList[xferOp]
+	countOps sim.FreeList[countOp]
+	gdOps    sim.FreeList[gdOp]
 }
 
 // New builds a network connecting nodes nodes. An unknown
@@ -185,17 +184,6 @@ func (n *Network) LinkUtilization() (max, mean float64) {
 	return n.fabric.UtilizationSummary()
 }
 
-// ResetOps frees all protocol records (transfer, accounting and
-// GPUDirect gate ops) at once, keeping chunk capacity warm for the next
-// run. It may only be called at a run boundary: no transfer may be
-// pending and no previously returned arrival signal may be used
-// afterwards. Traffic counters are not reset.
-func (n *Network) ResetOps() {
-	n.xferOps.Reset()
-	n.countOps.Reset()
-	n.gdOps.Reset()
-}
-
 // Hops returns the switch hop count between two nodes under the
 // configured topology: 0 within a node, 2 within a switch group, and
 // the topology's cross-group distance (4 for the fat tree, 3 for the
@@ -253,19 +241,21 @@ type countOp struct {
 // intra-node transfer starts.
 func countOpFire(_ *sim.Engine, arg unsafe.Pointer) {
 	op := (*countOp)(arg)
-	op.n.messages++
-	op.n.bytes += op.bytes
+	n := op.n
+	n.messages++
+	n.bytes += op.bytes
+	n.countOps.Put(op)
 }
 
 // xferOp is one pending inter-node transfer: the route waits in the
 // record until ready fires, then the cut-through reservations are made
-// at fire-time prices (NIC occupancy, fabric contention, jitter draw)
-// and arrived is scheduled.
+// at fire-time prices (NIC occupancy, fabric contention, jitter draw),
+// arrived is scheduled and the record is recycled.
 type xferOp struct {
 	n        *Network
 	src, dst int
 	bytes    int64
-	arrived  sim.Signal
+	arrived  *sim.Signal
 }
 
 // xferOpStart is the ArgFunc run when an inter-node transfer's ready
@@ -297,7 +287,8 @@ func xferOpStart(_ *sim.Engine, arg unsafe.Pointer) {
 	if e := downEnd + n.cfg.LatencyPerHop; e > rxEnd {
 		rxEnd = e
 	}
-	n.eng.FireAt(rxEnd, &op.arrived)
+	n.eng.FireAt(rxEnd, op.arrived)
+	n.xferOps.Put(op)
 }
 
 // Transfer moves bytes from node src to node dst, starting when ready
@@ -321,18 +312,20 @@ func (n *Network) Transfer(src, dst int, bytes int64, ready *sim.Signal) *sim.Si
 			n.messages++
 			n.bytes += bytes
 		} else {
-			op := n.countOps.New()
+			op := n.countOps.Get()
 			op.n = n
 			op.bytes = bytes
 			ready.OnFireArg(n.eng, countOpFire, unsafe.Pointer(op))
 		}
 		return n.intra[src].TransferAfter(ready, bytes)
 	}
-	op := n.xferOps.New()
+	arrived := sim.NewSignal()
+	op := n.xferOps.Get()
 	op.n = n
 	op.src, op.dst, op.bytes = src, dst, bytes
+	op.arrived = arrived
 	ready.OnFireArg(n.eng, xferOpStart, unsafe.Pointer(op))
-	return &op.arrived
+	return arrived
 }
 
 // After returns a signal that fires d after sig fires.
@@ -344,7 +337,9 @@ func After(e *sim.Engine, sig *sim.Signal, d sim.Time) *sim.Signal {
 // handshake RTT after ready (rendezvous-sized messages only), gated
 // fires the registration overhead after that. The RTT is computed when
 // the gate event runs, not at schedule time, so the jitter RNG draw
-// order matches the protocol order on the wire.
+// order matches the protocol order on the wire. Both signals stay
+// inside the package — only the transfer started behind gated
+// registers on them — so the record is recycled once gated has fired.
 type gdOp struct {
 	n        *Network
 	src, dst int
@@ -359,9 +354,17 @@ func gdGateFire(_ *sim.Engine, arg unsafe.Pointer) {
 }
 
 // gdOverheadFire schedules the registration-complete gate.
-func gdOverheadFire(_ *sim.Engine, arg unsafe.Pointer) {
+func gdOverheadFire(e *sim.Engine, arg unsafe.Pointer) {
 	op := (*gdOp)(arg)
-	op.n.eng.FireAt(op.n.eng.Now()+op.n.cfg.GPUDirectOverhead, &op.gated)
+	e.InjectAt(e.Now()+op.n.cfg.GPUDirectOverhead, gdGatedFire, arg)
+}
+
+// gdGatedFire fires the registration-complete gate, starting the
+// transfer, and recycles the record.
+func gdGatedFire(e *sim.Engine, arg unsafe.Pointer) {
+	op := (*gdOp)(arg)
+	op.gated.Fire(e)
+	op.n.gdOps.Put(op)
 }
 
 // TransferGPUDirect is Transfer plus the device-buffer registration
@@ -371,7 +374,7 @@ func gdOverheadFire(_ *sim.Engine, arg unsafe.Pointer) {
 //
 //gat:hotpath
 func (n *Network) TransferGPUDirect(src, dst int, bytes int64, ready *sim.Signal) *sim.Signal {
-	op := n.gdOps.New()
+	op := n.gdOps.Get()
 	op.n = n
 	op.src, op.dst = src, dst
 	start := ready

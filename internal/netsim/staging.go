@@ -51,7 +51,7 @@ func (n *Network) PipelinedStagedTransfer(srcDev, dstDev *gpu.Device, src, dst i
 	srcStream.WaitSignal(ready)
 	dstStream := dstDev.AcquireStream("pipe/h2d", gpu.PriorityHigh)
 
-	done := n.eng.NewSignal()
+	done := sim.NewSignal()
 	// Stage 1: successive D2H chunk copies are serialized by the stream.
 	// Stage 2: each chunk's network transfer starts when its D2H is done
 	// (NIC pipe serializes chunks in order). Stage 3: each chunk's H2D
@@ -68,10 +68,11 @@ func (n *Network) PipelinedStagedTransfer(srcDev, dstDev *gpu.Device, src, dst i
 		sendReady := After(n.eng, d2hDone, n.cfg.PipelineChunkOverhead)
 		arrived := n.Transfer(src, dst, c, sendReady)
 		dstStream.WaitSignal(arrived)
-		h2dDone := dstStream.Copy(gpu.H2D, c)
+		var then sim.Then
 		if remaining == 0 {
-			h2dDone.Chain(n.eng, done)
+			then = sim.ThenFire(done)
 		}
+		dstStream.CopyThen(gpu.H2D, c, then)
 	}
 	return done
 }

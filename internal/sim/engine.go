@@ -75,7 +75,7 @@ func DurationOf(bytes int64, bytesPerSec float64) Time {
 
 // ArgFunc is a statically defined callback that receives its state as
 // an untyped pointer. Scheduling (fn, arg) pairs lets a long-lived
-// record — an arena-allocated transfer op, a proc — be dispatched
+// record — a recycled transfer op, a proc — be dispatched
 // through one shared top-level function, so registering or firing it
 // allocates no closure. The arg must be non-nil (a nil arg selects the
 // plain-callback payload form below).
@@ -90,7 +90,7 @@ type ArgFunc func(*Engine, unsafe.Pointer)
 //	                      every transfer model, carried without closure
 //	arg == nil            call the func() packed in fn
 //	fn, arg both non-nil  call the ArgFunc packed in fn with arg — the
-//	                      record-callback form behind arena-allocated
+//	                      record-callback form behind recycled
 //	                      transfer ops and proc wakeups
 type event struct {
 	at  Time
@@ -256,14 +256,12 @@ type Engine struct {
 	handoff chan struct{} // procs signal here when they park or exit
 	tracer  *Tracer
 
-	// Per-engine arenas for the record types sim itself creates on the
-	// hot path. Records live until the engine is discarded (or the
-	// arenas are reset between runs by a caller that owns the engine);
-	// see Arena for the lifetime contract.
-	sigs     Arena[Signal]
-	pipeOps  Arena[pipeOp]
-	delayOps Arena[delayOp]
-	waitAlls Arena[waitAll]
+	// Free lists for the record types sim itself creates on the hot
+	// path; each record is recycled when its transfer, delay or group
+	// wait retires (see FreeList).
+	pipeOps  FreeList[pipeOp]
+	delayOps FreeList[delayOp]
+	waitAlls FreeList[waitAll]
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -439,7 +437,8 @@ func (e *Engine) drive(self *Proc) {
 }
 
 // InjectAt schedules a statically dispatched (fn, arg) pair at absolute
-// time t — the cross-engine injection seam of the conservative PDES
+// time t: the allocation-free form of At for a component's own
+// records, and the cross-engine injection seam of the conservative PDES
 // layer (internal/pdes). A coordinator that owns several parked engines
 // calls it between lookahead windows to deliver merged cross-shard
 // messages; sequence numbers are assigned in call order, so injecting a
@@ -529,19 +528,3 @@ type QueueStats struct {
 
 // QueueStats returns a snapshot of the timed queue's structure.
 func (e *Engine) QueueStats() QueueStats { return e.timed.stats() }
-
-// ResetArenas frees all engine-arena records (signals, pipe and delay
-// ops) at once, keeping chunk capacity so the next run reuses the same
-// warm memory. It may only be called at a run boundary: the engine must
-// be idle, and the caller must guarantee no record pointer from before
-// the reset — no *Signal from Engine.NewSignal, no signal returned by
-// Pipe.TransferAfter or Engine.AfterSignal — is used afterwards.
-func (e *Engine) ResetArenas() {
-	if !e.Idle() {
-		panic("sim: ResetArenas with events pending")
-	}
-	e.sigs.Reset()
-	e.pipeOps.Reset()
-	e.delayOps.Reset()
-	e.waitAlls.Reset()
-}

@@ -79,41 +79,79 @@ func (pp *Pipe) Transfer(bytes int64) *Signal {
 	return pp.TransferAfter(FiredSignal(), bytes)
 }
 
-// pipeOp is one pending TransferAfter: the pipe and byte count wait in
-// the record until the ready signal fires, then the reservation is made
-// and done is scheduled. Allocated from the engine's arena.
+// pipeOp is one pending transfer: the pipe and byte count wait in the
+// record until the ready signal fires, then the reservation is made and
+// completion is scheduled. The record is recycled when it is no longer
+// needed: at the reservation when the caller holds a done signal, at
+// completion when it gave a Then instead.
 type pipeOp struct {
 	pp    *Pipe
 	bytes int64
-	done  Signal
+	done  *Signal
+	then  Then
 }
 
 // pipeOpStart is the ArgFunc run when a pipeOp's ready signal fires.
-func pipeOpStart(_ *Engine, arg unsafe.Pointer) {
+func pipeOpStart(e *Engine, arg unsafe.Pointer) {
 	op := (*pipeOp)(arg)
 	pp := op.pp
 	start := pp.FreeAt()
 	dur := pp.duration(op.bytes)
 	pp.freeAt = start + dur
 	pp.busyAccum += dur
-	pp.eng.FireAt(pp.freeAt, &op.done)
-	if tr := pp.eng.tracer; tr != nil {
+	if tr := e.tracer; tr != nil {
 		tr.Add(Span{Resource: pp.name, Label: "xfer", Start: start, End: pp.freeAt, Bytes: op.bytes})
 	}
+	if op.done != nil {
+		e.FireAt(pp.freeAt, op.done)
+		e.pipeOps.Put(op)
+		return
+	}
+	e.InjectAt(pp.freeAt, pipeOpDone, arg)
+}
+
+// pipeOpDone completes a pipeOp that carries a Then: it runs the action
+// at exactly the point a done signal holding it would have fired.
+func pipeOpDone(e *Engine, arg unsafe.Pointer) {
+	op := (*pipeOp)(arg)
+	then := op.then
+	e.pipeOps.Put(op)
+	then.Run(e)
 }
 
 // TransferAfter is like Transfer but the transfer cannot start before
 // ready fires. The pipe is reserved only once ready fires, so other
 // transfers may proceed in the meantime. The pending transfer lives in
-// an arena record, so the steady state allocates nothing.
+// a recycled record; only the returned signal outlives the reservation.
 //
 //gat:hotpath
 func (pp *Pipe) TransferAfter(ready *Signal, bytes int64) *Signal {
-	op := pp.eng.pipeOps.New()
+	done := NewSignal()
+	op := pp.op(bytes)
+	op.done = done
+	ready.OnFireArg(pp.eng, pipeOpStart, unsafe.Pointer(op))
+	return done
+}
+
+// TransferThen is Transfer for a caller that only reacts to completion:
+// then runs where Transfer's signal would have fired, and no signal is
+// made.
+//
+//gat:hotpath
+func (pp *Pipe) TransferThen(bytes int64, then Then) {
+	op := pp.op(bytes)
+	op.then = then
+	pp.eng.InjectAt(pp.eng.now, pipeOpStart, unsafe.Pointer(op))
+}
+
+// op returns a recycled pipeOp for bytes on pp.
+//
+//gat:hotpath
+func (pp *Pipe) op(bytes int64) *pipeOp {
+	op := pp.eng.pipeOps.Get()
 	op.pp = pp
 	op.bytes = bytes
-	ready.OnFireArg(pp.eng, pipeOpStart, unsafe.Pointer(op))
-	return &op.done
+	return op
 }
 
 // Reserve books the pipe for bytes starting no earlier than earliest,

@@ -124,10 +124,11 @@ func (p *Proc) Wait(s *Signal) {
 	p.park()
 }
 
-// waitAll is the arena-allocated record behind a group wait: a countdown
-// of unfired signals and the proc to resume when it reaches zero. Each
+// waitAll is the recycled record behind a group wait: a countdown of
+// unfired signals and the proc to resume when it reaches zero. Each
 // member signal holds a pointer to the record and decrements it at fire
-// time (see Signal.Fire).
+// time; the last one pushes the resume and recycles the record (see
+// Signal.Fire).
 type waitAll struct {
 	n int
 	p *Proc
@@ -146,9 +147,9 @@ type WaitSet struct {
 	rest []*Signal // signals whose group slot another WaitSet already holds
 }
 
-// NewWaitSet returns an empty wait set for the proc. The set allocates
-// its countdown record from the engine arena on the first unfired Add,
-// so a set over already-fired signals costs nothing.
+// NewWaitSet returns an empty wait set for the proc. The set takes its
+// countdown record from the engine's free list on the first unfired
+// Add, so a set over already-fired signals costs nothing.
 func (p *Proc) NewWaitSet() WaitSet { return WaitSet{p: p} }
 
 // Add registers s as a member of the group. Already-fired signals and
@@ -158,7 +159,7 @@ func (g *WaitSet) Add(s *Signal) {
 		return
 	}
 	if g.wa == nil {
-		g.wa = g.p.eng.waitAlls.New()
+		g.wa = g.p.eng.waitAlls.Get()
 		g.wa.p = g.p
 	}
 	if s.ga == g.wa {
@@ -191,6 +192,10 @@ func (g *WaitSet) Wait() {
 	if g.n > 0 {
 		g.wa.n = g.n
 		g.p.park()
+	} else if g.wa != nil {
+		// Every unfired member was held by another group: the record
+		// was never armed, so no signal can reach it.
+		g.p.eng.waitAlls.Put(g.wa)
 	}
 	for _, s := range g.rest {
 		g.p.Wait(s)

@@ -2,13 +2,44 @@ package sim
 
 import "unsafe"
 
-// sigCB is one registered completion action, packed exactly like an
-// event payload: fn == nil fires (*Signal)(arg), arg == nil calls the
-// func() in fn, both non-nil calls the ArgFunc in fn with arg. The
-// zero value means "no callback registered".
-type sigCB struct {
-	fn  unsafe.Pointer
-	arg unsafe.Pointer
+// Then is one completion action in event payload form: fire a signal
+// (ThenFire), call a func() (ThenCall) or call an ArgFunc with a record
+// (ThenArg). A signal stores its registered callbacks this way, and a
+// recycled record whose caller only chains or gates on its completion
+// stores its target this way instead of a signal of its own: Run
+// pushes exactly the event that firing a signal holding this one
+// callback would push, at the same point, so taking the target
+// directly changes neither the event order nor the event count. The
+// zero Then does nothing.
+type Then struct {
+	fn  unsafe.Pointer // nil fires (*Signal)(arg)
+	arg unsafe.Pointer // nil with fn set calls the func() in fn
+}
+
+// ThenFire returns the action that fires s — what Chain(e, s) registers.
+// A nil s gives the zero Then.
+func ThenFire(s *Signal) Then { return Then{arg: unsafe.Pointer(s)} }
+
+// ThenCall returns the action that calls fn — what OnFire(e, fn)
+// registers.
+func ThenCall(fn func()) Then { return Then{fn: fnToPtr(fn)} }
+
+// ThenArg returns the action that calls fn with arg — what
+// OnFireArg(e, fn, arg) registers. arg must be non-nil.
+func ThenArg(fn ArgFunc, arg unsafe.Pointer) Then {
+	if arg == nil {
+		panic("sim: ThenArg requires a non-nil arg")
+	}
+	return Then{fn: argFnToPtr(fn), arg: arg}
+}
+
+// Run schedules the action at the current time.
+//
+//gat:hotpath
+func (t Then) Run(e *Engine) {
+	if t != (Then{}) {
+		e.push(e.now, t.fn, t.arg)
+	}
 }
 
 // Signal is a one-shot broadcast: it starts unfired, fires exactly once,
@@ -24,27 +55,27 @@ type sigCB struct {
 // callbacks is the next most common (an accounting hook plus the
 // transfer start on one gate signal), so the inline slots make both
 // allocation-free. Registration order is preserved — the inline slots
-// are always the earliest registrations.
+// are always the earliest registrations. The rarer overflow lives
+// behind one pointer, which keeps a Signal at 64 bytes: most signals
+// are allocated per operation, so their size is felt in every run.
 type Signal struct {
-	fired     bool
-	w0        *Proc
-	waiters   []*Proc // second and later waiters
-	ga        *waitAll
-	cb0, cb1  sigCB
-	callbacks []sigCB // third and later callbacks
+	fired    bool
+	w0       *Proc
+	ga       *waitAll
+	cb0, cb1 Then
+	more     *sigMore
 }
 
-// NewSignal returns an unfired signal.
-func NewSignal() *Signal { return &Signal{} }
+// sigMore holds a signal's second and later waiters and third and
+// later callbacks.
+type sigMore struct {
+	waiters   []*Proc
+	callbacks []Then
+}
 
-// NewSignal returns an unfired signal allocated from the engine's
-// arena: it costs a pointer bump, and it is reclaimed wholesale when
-// the engine's arenas are reset or discarded. Use it for run-transient
-// completion signals; a signal that must outlive the engine still goes
-// through the package-level NewSignal.
-//
-//gat:hotpath
-func (e *Engine) NewSignal() *Signal { return e.sigs.New() }
+// NewSignal returns an unfired signal. Signals are owned by the
+// garbage collector: a caller may hold one for as long as it likes.
+func NewSignal() *Signal { return &Signal{} }
 
 // firedSignal is the shared already-fired signal. Safe to share across
 // engines and goroutines: every Signal method is a pure read once fired
@@ -77,10 +108,12 @@ func (s *Signal) Fire(e *Engine) {
 		e.push(e.now, procResumePtr, unsafe.Pointer(s.w0))
 		s.w0 = nil
 	}
-	waiters := s.waiters
-	s.waiters = nil
-	for _, p := range waiters {
-		e.push(e.now, procResumePtr, unsafe.Pointer(p))
+	more := s.more
+	s.more = nil
+	if more != nil {
+		for _, p := range more.waiters {
+			e.push(e.now, procResumePtr, unsafe.Pointer(p))
+		}
 	}
 	if g := s.ga; g != nil {
 		// Group wait: decrement at fire time, in the waiter slot of the
@@ -91,37 +124,44 @@ func (s *Signal) Fire(e *Engine) {
 		g.n--
 		if g.n == 0 {
 			e.push(e.now, procResumePtr, unsafe.Pointer(g.p))
+			e.waitAlls.Put(g)
 		}
 	}
-	if s.cb0 != (sigCB{}) {
-		e.push(e.now, s.cb0.fn, s.cb0.arg)
-		s.cb0 = sigCB{}
-	}
-	if s.cb1 != (sigCB{}) {
-		e.push(e.now, s.cb1.fn, s.cb1.arg)
-		s.cb1 = sigCB{}
-	}
-	callbacks := s.callbacks
-	s.callbacks = nil
-	for _, cb := range callbacks {
-		e.push(e.now, cb.fn, cb.arg)
+	s.cb0.Run(e)
+	s.cb0 = Then{}
+	s.cb1.Run(e)
+	s.cb1 = Then{}
+	if more != nil {
+		for _, cb := range more.callbacks {
+			e.push(e.now, cb.fn, cb.arg)
+		}
 	}
 }
 
 // addCB appends a callback in registration order, filling the inline
 // slots first.
-func (s *Signal) addCB(cb sigCB) {
-	if len(s.callbacks) == 0 {
-		if s.cb0 == (sigCB{}) {
+func (s *Signal) addCB(cb Then) {
+	if s.more == nil || len(s.more.callbacks) == 0 {
+		if s.cb0 == (Then{}) {
 			s.cb0 = cb
 			return
 		}
-		if s.cb1 == (sigCB{}) {
+		if s.cb1 == (Then{}) {
 			s.cb1 = cb
 			return
 		}
 	}
-	s.callbacks = append(s.callbacks, cb)
+	m := s.overflow()
+	m.callbacks = append(m.callbacks, cb)
+}
+
+// overflow returns the signal's overflow record, creating it on first
+// use.
+func (s *Signal) overflow() *sigMore {
+	if s.more == nil {
+		s.more = &sigMore{}
+	}
+	return s.more
 }
 
 // OnFire registers cb to run (as a scheduled event) when the signal
@@ -131,11 +171,11 @@ func (s *Signal) OnFire(e *Engine, cb func()) {
 		e.At(e.now, cb)
 		return
 	}
-	s.addCB(sigCB{fn: fnToPtr(cb)})
+	s.addCB(ThenCall(cb))
 }
 
 // OnFireArg registers a static callback with a record argument, the
-// allocation-free form of OnFire for arena-allocated records: the
+// allocation-free form of OnFire for recycled records: the
 // (fn, arg) pair is stored and later scheduled verbatim, no closure is
 // created at any point. arg must be non-nil — a nil arg would make the
 // stored pair ambiguous with the other payload forms.
@@ -149,7 +189,7 @@ func (s *Signal) OnFireArg(e *Engine, fn ArgFunc, arg unsafe.Pointer) {
 		e.push(e.now, argFnToPtr(fn), arg)
 		return
 	}
-	s.addCB(sigCB{fn: argFnToPtr(fn), arg: arg})
+	s.addCB(Then{fn: argFnToPtr(fn), arg: arg})
 }
 
 // Chain arranges for dst to fire (as its own scheduled event) when s
@@ -161,7 +201,7 @@ func (s *Signal) Chain(e *Engine, dst *Signal) {
 		e.FireAt(e.now, dst)
 		return
 	}
-	s.addCB(sigCB{arg: unsafe.Pointer(dst)})
+	s.addCB(ThenFire(dst))
 }
 
 // FireAt schedules s to fire at absolute time t. It is the
@@ -173,37 +213,40 @@ func (s *Signal) Chain(e *Engine, dst *Signal) {
 func (e *Engine) FireAt(t Time, s *Signal) { e.push(t, nil, unsafe.Pointer(s)) }
 
 // delayOp carries one AfterSignal link: when the source signal fires,
-// the op schedules its out signal to fire d later.
+// the op schedules its out signal to fire d later and is recycled.
 type delayOp struct {
 	d   Time
-	out Signal
+	out *Signal
 }
 
 // delayOpFire is the ArgFunc behind AfterSignal.
 func delayOpFire(e *Engine, arg unsafe.Pointer) {
 	op := (*delayOp)(arg)
-	e.FireAt(e.now+op.d, &op.out)
+	e.FireAt(e.now+op.d, op.out)
+	e.delayOps.Put(op)
 }
 
 // AfterSignal returns a signal that fires d after sig fires. A
-// non-positive delay returns sig itself. The link record comes from the
-// engine's arena, so a delay chain costs no per-hop heap allocation.
+// non-positive delay returns sig itself. The link record is recycled
+// once sig fires; only the returned signal outlives it.
 func (e *Engine) AfterSignal(sig *Signal, d Time) *Signal {
 	if d <= 0 {
 		return sig
 	}
-	op := e.delayOps.New()
-	op.d = d
+	out := NewSignal()
+	op := e.delayOps.Get()
+	op.d, op.out = d, out
 	sig.OnFireArg(e, delayOpFire, unsafe.Pointer(op))
-	return &op.out
+	return out
 }
 
 func (s *Signal) addWaiter(p *Proc) {
-	if s.w0 == nil && len(s.waiters) == 0 {
+	if s.w0 == nil && (s.more == nil || len(s.more.waiters) == 0) {
 		s.w0 = p
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	m := s.overflow()
+	m.waiters = append(m.waiters, p)
 }
 
 // AllOf returns a signal that fires once every input signal has fired.
