@@ -6,7 +6,7 @@ GO ?= go
 # points this at a workspace directory and uploads it as an artifact.
 SMOKE_OUT ?= /tmp
 
-.PHONY: all build test vet fmt-check lint check sweep-smoke sweepd-smoke scenario-smoke claims-smoke bench-queue bench bench-check bench-e2e
+.PHONY: all build test vet fmt-check lint check sweep-smoke sweepd-smoke scenario-smoke examples-smoke claims-smoke bench-queue bench bench-check bench-e2e
 
 all: check
 
@@ -119,6 +119,14 @@ scenario-smoke:
 		{ echo "scenario-smoke: adaptive-routing run reported no routing provenance"; exit 1; }
 	@echo "scenario-smoke: registry lists; non-Summit, tapered-fabric and adaptive-routing scenarios run"
 
+# Examples smoke: every examples/* main must run to completion and exit
+# 0 (output discarded), so an API change cannot silently break them.
+examples-smoke:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d > /dev/null || { echo "examples-smoke: $$d failed"; exit 1; }; \
+	done
+	@echo "examples-smoke: every example ran and exited 0"
+
 # Claims smoke: all seven C1-C7 checks must execute and report at
 # reduced scale; their verdicts are advisory there (-smoke exits 0).
 claims-smoke:
@@ -156,9 +164,8 @@ bench:
 # Bench regression gate: re-measure the headline hot-path benchmarks
 # (medians over -count=3) and fail when any is >25% slower than the
 # committed "after" trajectory. JacobiStep and ZeroDelayLane are the
-# end-to-end and lane headliners; the depth16k hold pair keeps the
-# calendar queue honest against its own recorded number and records the
-# 4-ary heap reference it must not fall behind. The comparison is
+# end-to-end and lane headliners; the depth16k hold pair measures the
+# engine's timed queue and a bare 4-ary heap. The comparison is
 # absolute ns/op against numbers recorded on whatever host last ran
 # `make bench`, so it is only a real gate on comparable hardware; CI
 # runs it informationally (continue-on-error) because a shared runner's
@@ -195,4 +202,4 @@ bench-e2e:
 
 # claims-smoke is not part of check: CI runs it as its own job, and
 # doubling it into the matrix legs would just re-run identical work.
-check: build vet fmt-check lint test sweep-smoke sweepd-smoke scenario-smoke
+check: build vet fmt-check lint test sweep-smoke sweepd-smoke scenario-smoke examples-smoke

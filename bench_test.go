@@ -1,8 +1,8 @@
 // Package gat's top-level benchmarks regenerate every table and figure
 // of the paper's evaluation (one benchmark per figure, fig6a..fig9b,
-// plus the ablations in DESIGN.md). Each benchmark prints the figure's
-// rows — the same series the paper plots — so `go test -bench=.` is the
-// reproduction harness.
+// plus the ablations in internal/bench/ablations.go). Each benchmark
+// prints the figure's rows — the same series the paper plots — so
+// `go test -bench=.` is the reproduction harness.
 //
 // Scale knobs (environment):
 //

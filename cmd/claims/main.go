@@ -1,5 +1,6 @@
-// Command claims verifies the paper's qualitative claims (C1–C7 in
-// DESIGN.md) against the simulation and prints a PASS/FAIL report.
+// Command claims verifies the paper's qualitative claims (C1–C7, listed
+// with their thresholds in internal/bench/claims.go) against the
+// simulation and prints a PASS/FAIL report.
 //
 // Usage:
 //

@@ -1,20 +1,18 @@
 // Event-loop benchmarks: the simulator's throughput bound is the
 // engine event loop, so these measure its hot paths.
 //
-// BenchmarkEventQueue exercises the timed-event queue under the classic
-// "hold" workload (pop the earliest event, schedule a replacement a
-// random increment later, repeat) at several queue depths and under
-// three arrival distributions: uniform increments (the base case the
-// calendar queue's bucket geometry adapts to), bimodal near/far (half
-// the replacements land ~1ms out, stressing the overflow tier and its
-// drain back into the bucket window), and all-ties (every event in a
+// BenchmarkEventQueue exercises the engine's timed queue — a 4-ary
+// heap behind a cached head — under the classic "hold" workload (pop
+// the earliest event, schedule a replacement a random increment later,
+// repeat) at several queue depths and under three arrival
+// distributions: uniform increments, bimodal near/far (half the
+// replacements land ~1ms out), and all-ties (every event in a
 // depth-sized cohort shares one timestamp, so ordering is carried
-// entirely by sequence numbers within a single bucket).
-// BenchmarkEventQueueHeap4 runs the uniform workload against a replica
-// of the 4-ary array heap the engine used before the calendar queue,
-// and BenchmarkEventQueueContainerHeap against the pre-PR-1 binary heap
-// behind the container/heap interface — so the calendar's standing is
-// directly visible against both ancestors at every depth.
+// entirely by sequence numbers). BenchmarkEventQueueHeap4 runs the
+// uniform workload against a bare 4-ary array heap that picks children
+// by compare-and-branch, with no engine around it, and
+// BenchmarkEventQueueContainerHeap against a binary heap behind the
+// container/heap interface, the engine's original queue.
 //
 // The remaining benchmarks target the steady-state scheduling paths a
 // simulation actually spends its time in: zero-delay self-rescheduling
@@ -74,10 +72,9 @@ func BenchmarkEventQueue(b *testing.B) {
 }
 
 // BenchmarkEventQueueBimodal is the hold workload with a near/far
-// mixture: half the replacements land within 1µs, half ~1ms out. The
-// far half stream through the calendar's overflow tier and re-enter the
-// bucket window as the clock advances — the distribution sweeps with
-// long-latency network transfers among dense kernel completions produce.
+// mixture: half the replacements land within 1µs, half ~1ms out — the
+// distribution sweeps with long-latency network transfers among dense
+// kernel completions produce.
 func BenchmarkEventQueueBimodal(b *testing.B) {
 	for _, c := range holdDepths {
 		b.Run(c.name, func(b *testing.B) {
@@ -106,9 +103,7 @@ func BenchmarkEventQueueBimodal(b *testing.B) {
 // BenchmarkEventQueueTies is the hold workload where every replacement
 // lands exactly one fixed period after the event it replaces, so the
 // whole depth-sized cohort shares a single timestamp and ordering is
-// carried purely by sequence numbers — the worst case for bucket
-// indexing (everything in one bucket) and the best case for the seq
-// tie-break path.
+// carried purely by sequence numbers — the seq tie-break path.
 func BenchmarkEventQueueTies(b *testing.B) {
 	for _, c := range holdDepths {
 		b.Run(c.name, func(b *testing.B) {
@@ -129,11 +124,10 @@ func BenchmarkEventQueueTies(b *testing.B) {
 	}
 }
 
-// hold4Ev / hold4Heap replicate the 4-ary array heap the engine used
-// between PR 1 and the calendar queue: same payload shape, same
-// (at, seq) order, direct array code with no interface boxing. The
-// calendar queue must hold its own against this at every depth — the
-// acceptance bar is calendar ≤ heap at depth16k.
+// hold4Ev / hold4Heap are a 4-ary array heap with the engine's payload
+// shape and (at, seq) order, direct array code with no interface
+// boxing, but a compare-and-branch child scan where the engine's heap
+// selects branch-free.
 type hold4Ev struct {
 	at  sim.Time
 	seq uint64

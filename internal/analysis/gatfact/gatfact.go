@@ -1,7 +1,7 @@
 // Package gatfact is the shared vocabulary of //gat: source
 // annotations — the facts the gatvet analyzers exchange with the code
 // they check. Keeping the vocabulary in one package means every
-// analyzer (including future ones: PDES shard-safety, calendar-queue
+// analyzer (including future ones: PDES shard-safety, event-queue
 // ordering) parses annotations identically and gatdir can police the
 // whole vocabulary in one place.
 //

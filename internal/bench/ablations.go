@@ -8,7 +8,7 @@ import (
 	"gat/internal/sim"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out:
+// Ablation experiments for design choices the paper discusses:
 // stream priorities (§III-A), the Channel API vs the older GPU
 // Messaging API (§II-B), and the manual-overlap option of the MPI
 // variant (Fig 1b). These have no paper figure; they quantify how much

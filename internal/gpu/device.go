@@ -55,7 +55,9 @@ type Config struct {
 }
 
 // V100 returns a cost model calibrated to an NVIDIA Tesla V100 on a
-// Summit node (HBM2 roofline, NVLink2 host link). See DESIGN.md §5.
+// Summit node (HBM2 roofline, NVLink2 host link). machine.Summit pairs
+// it with netsim.Summit; TestSummitCalibrationValues in
+// internal/machine/config_test.go pins the roofline.
 func V100() Config {
 	return Config{
 		MemBandwidth:      780e9,

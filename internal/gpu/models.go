@@ -6,7 +6,7 @@ import "gat/internal/sim"
 // These are *illustrative* profiles built from public datasheet numbers
 // (memory roofline, host-link bandwidth) with launch overheads
 // extrapolated from the V100 calibration — not validated against the
-// real machines the way V100/Summit is (DESIGN.md §5).
+// real machines the way V100/Summit is (V100 in device.go).
 
 // A100 returns an illustrative cost model for an NVIDIA A100-40GB as
 // deployed on Perlmutter-class nodes (HBM2e roofline, PCIe 4.0 host

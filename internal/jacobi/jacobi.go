@@ -20,7 +20,8 @@ import (
 )
 
 // Cost-model constants for the memory-bound kernels (bytes of device
-// memory traffic per grid cell; see DESIGN.md §5).
+// memory traffic per grid cell, divided by the roofline of gpu.V100 in
+// internal/gpu/device.go).
 const (
 	// ElemBytes is the size of one grid element (double precision).
 	ElemBytes = 8

@@ -65,8 +65,9 @@ type Config struct {
 }
 
 // Summit returns an interconnect model calibrated to Summit's dual-rail
-// EDR InfiniBand non-blocking fat tree (23 GB/s injection). See
-// DESIGN.md §5.
+// EDR InfiniBand non-blocking fat tree (23 GB/s injection).
+// machine.Summit pairs it with gpu.V100; TestSummitCalibrationValues in
+// internal/machine/config_test.go pins the injection bandwidth.
 func Summit() Config {
 	return Config{
 		LatencyBase:           1600 * sim.Nanosecond,

@@ -216,6 +216,29 @@ func TestEventHeapOrdering(t *testing.T) {
 	}
 }
 
+func TestEarlierMatchesBefore(t *testing.T) {
+	// The branch-free selection must agree with before on every pair:
+	// ties on time broken by seq, and times up to the largest instant.
+	rng := NewRNG(3)
+	pick := func() event {
+		at := Time(rng.Intn(4))
+		if rng.Intn(2) == 1 {
+			at = maxTime - at
+		}
+		return event{at: at, seq: uint64(rng.Intn(4))}
+	}
+	for n := 0; n < 2000; n++ {
+		q := []event{pick(), pick()}
+		want := 0
+		if q[1].before(q[0]) {
+			want = 1
+		}
+		if got := earlier(q, 0, 1); got != want {
+			t.Fatalf("earlier(%+v, %+v) = %d, want %d", q[0], q[1], got, want)
+		}
+	}
+}
+
 func TestEventHeapPopClearsSlot(t *testing.T) {
 	// The vacated tail slot must not retain the popped event's closure.
 	var h eventHeap
